@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro import World, WorldConfig
 from repro.config import LatencySpec
 from repro.net.causal import make_ordering
@@ -36,7 +38,10 @@ def test_bench_kernel_event_throughput(benchmark):
     assert benchmark(run_events) == 20_000
 
 
-def test_bench_causal_layer_throughput(benchmark):
+@pytest.mark.parametrize("n_nodes", [8, 144, 256])
+def test_bench_causal_layer_throughput(benchmark, n_nodes):
+    """Causal-layer cost per message against the number of endpoints
+    (144 is the city workload's MSS count)."""
     from dataclasses import dataclass
     from typing import ClassVar
 
@@ -44,7 +49,7 @@ def test_bench_causal_layer_throughput(benchmark):
     class _B(Message):
         kind: ClassVar[str] = "bench_probe"
 
-    nodes = [NodeId(f"n{i}") for i in range(8)]
+    nodes = [NodeId(f"n{i}") for i in range(n_nodes)]
     rng = random.Random(0)
     plan = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(3000)]
 

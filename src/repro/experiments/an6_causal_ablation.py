@@ -7,7 +7,8 @@ re-sends a result that was already acknowledged.
 
 Ablation: the same mobile workload runs over three wired orderings —
 
-* ``causal`` — the paper's assumption (SES protocol);
+* ``causal`` — the paper's assumption (exact causal delivery,
+  :mod:`repro.net.causal`);
 * ``fifo``   — per-channel FIFO only (cross-channel order may invert);
 * ``raw``    — arrival order, which high latency jitter freely inverts.
 

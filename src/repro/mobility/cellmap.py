@@ -8,9 +8,8 @@ line, ring, grid (a city district model) and complete (teleport) graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
-
 import re
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import networkx as nx
 
@@ -18,44 +17,56 @@ from ..errors import MobilityError
 from ..types import CellId
 
 
-def natural_key(name: str) -> tuple:
+def natural_key(name: str) -> Tuple[Union[int, str], ...]:
     """Sort key treating digit runs numerically: cell2 before cell10."""
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", name))
 
 
 class CellMap:
-    """Undirected graph of cells with optional 2-D positions."""
+    """Undirected graph of cells with optional 2-D positions.
+
+    The cell set is fixed at construction and each cell's neighbours are
+    fixed once first asked for: both are sorted once and cached.
+    Builders may still add edges between construction and first use.
+    """
 
     def __init__(self, graph: nx.Graph) -> None:
         if graph.number_of_nodes() == 0:
             raise MobilityError("cell map must contain at least one cell")
         self.graph = graph
+        cells: Iterable[CellId] = graph.nodes
+        self._cells = sorted(cells, key=natural_key)
+        self._neighbors: Dict[CellId, List[CellId]] = {}
 
     @property
     def cells(self) -> List[CellId]:
-        return sorted(self.graph.nodes, key=natural_key)
+        return list(self._cells)
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._cells)
 
     def __contains__(self, cell: CellId) -> bool:
-        return cell in self.graph
+        return bool(cell in self.graph)
 
     def neighbors(self, cell: CellId) -> List[CellId]:
         """Cells reachable in one migration from *cell*, sorted."""
-        if cell not in self.graph:
-            raise MobilityError(f"unknown cell {cell!r}")
-        return sorted(self.graph.neighbors(cell), key=natural_key)
+        cached = self._neighbors.get(cell)
+        if cached is None:
+            if cell not in self.graph:
+                raise MobilityError(f"unknown cell {cell!r}")
+            adjacent: Iterable[CellId] = self.graph.neighbors(cell)
+            cached = self._neighbors[cell] = sorted(adjacent, key=natural_key)
+        return list(cached)
 
     def position(self, cell: CellId) -> Tuple[float, float]:
         """2-D position of *cell* (grid layouts set it; defaults to 0,0)."""
-        data = self.graph.nodes[cell]
-        return data.get("pos", (0.0, 0.0))
+        x, y = self.graph.nodes[cell].get("pos", (0.0, 0.0))
+        return (float(x), float(y))
 
     def distance_hops(self, a: CellId, b: CellId) -> int:
         """Shortest-path hop distance between two cells."""
-        return nx.shortest_path_length(self.graph, a, b)
+        return int(nx.shortest_path_length(self.graph, a, b))
 
 
 def _cell_name(index: int) -> CellId:

@@ -1,4 +1,4 @@
-"""Causal point-to-point delivery (Schiper–Eggli–Sandoz).
+"""Causal point-to-point delivery with direct-dependency stamps.
 
 The paper's system model assumes that "communication among the MSSs is
 reliable and message delivery is in causal order" (assumption 1), and the
@@ -6,16 +6,54 @@ exactly-once argument of Section 5 relies on it: the Ack forwarded by the
 old MSS must reach the proxy before the ``update_currentloc`` sent by the
 new MSS, because the first send causally precedes the second.
 
-This module implements the SES protocol for point-to-point causal order:
+:class:`CausalOrdering` delivers a message at its destination *d* only
+once every message to *d* in its causal past has been delivered there.
+It tracks direct dependencies only (after Kshemkalyani & Singhal,
+*Distributed Computing* 11(2), 1998, and Prakash, Raynal & Singhal,
+*JPDC* 40(2), 1997) instead of a vector clock per destination:
 
-* Each endpoint maintains a vector clock ``vt`` and a *destination
-  constraint table* ``dep`` mapping destination -> vector timestamp.
-* On send to ``dst``: tick own component; stamp the message with the
-  current ``vt`` and a copy of ``dep``; then record ``dep[dst] = vt``.
-* On arrival at ``n``: the message is deliverable iff its constraint table
-  has no entry for ``n``, or that entry is <= the local ``vt``.
-* On delivery: merge the stamp into ``vt`` and the constraint table into
-  ``dep`` (skipping the local entry); buffered messages are then re-checked.
+* Every channel ``s -> d`` numbers its messages 1, 2, 3, ...
+* Every endpoint keeps a *log*: one row per destination ``y``, mapping a
+  sender ``x`` to the highest number ``u`` such that message #u on
+  ``x -> y`` is in the endpoint's causal past and may still be
+  undelivered.  One number per channel suffices because causal order
+  implies FIFO order: #u delivered means #1..#u delivered.
+
+A stamp (:class:`StampedMessage`) carries the sender, the channel
+sequence number, the log rows that changed since the sender's last
+message on the same channel (the receiver merged the rest when it
+delivered that message, which FIFO order delivers first), and the
+sender's own delivered counters that changed since then.
+
+Entries leave a log in two ways:
+
+* *covered*: sending to ``y`` replaces row ``y`` with the single entry
+  for the new message, which has everything the old row named in its
+  causal past;
+* *delivered*: a message from ``y`` carries ``y``'s delivered counters.
+  The receiver drops every row-``y`` entry they show delivered and keeps
+  the counters, so it drops such entries from later stamps too instead
+  of merging them back in.
+
+On arrival at *d* a message is checked against its FIFO predecessor and
+its row *d* only.  A blocked message parks under one channel into *d*
+whose delivered count is too low and is re-checked when that count
+advances; woken messages are delivered in arrival order, so the result
+is the order of a rescan of the whole hold-back buffer from its start.
+On delivery the stamp's rows are merged (pointwise max) into the
+receiver's log, except row *d*, which the check just showed delivered.
+
+The condition is exact.  Every entry names a real message to its row's
+destination in the message's causal past, so a blocking entry is a
+causal predecessor not yet delivered.  Conversely every message to *d*
+in the causal past is named by an entry, or lies in the causal past of
+an entry's message to *d* (which, delivered causally, implies it is
+delivered too), or was pruned because *d* had delivered it.  A message
+is therefore held exactly while some message to the same destination in
+its causal past is undelivered, which is also the condition of the
+Schiper–Eggli–Sandoz (SES) protocol this layer replaces; delivery
+order is the same, at a stamp cost of the rows that changed rather than
+a vector clock per destination.
 
 The ordering layer is pluggable so the AN6 ablation can run the same
 workload over FIFO-only or fully unordered delivery and measure how the
@@ -26,21 +64,39 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..types import NodeId
 from .message import Message
-from .vectorclock import VectorClock
+
+#: One log row: sender -> highest sequence number on the channel from
+#: that sender to the row's destination that may still be undelivered.
+#: A row is never mutated once stored; updates rebind to a new dict, so
+#: stamps and logs share rows by reference.
+Row = Dict[NodeId, int]
+
+Deliver = Callable[[Message], None]
+
+#: Delivered counters of a destination never heard from (read-only).
+_NO_COUNTS: Dict[NodeId, int] = {}
 
 
 @dataclass(slots=True)
 class StampedMessage:
-    """A message plus the ordering metadata attached at send time."""
+    """A message plus the ordering metadata attached at send time.
+
+    ``stamp`` is the message's sequence number on its channel (from 1;
+    0 under ``raw``), ``constraints`` the log rows it carries (destination
+    -> :data:`Row`) and ``delivered`` the sender's delivered counters
+    (sender -> count) it piggybacks.
+    """
 
     message: Message
-    stamp: VectorClock
-    constraints: Dict[str, VectorClock]
+    stamp: int
+    constraints: Dict[NodeId, Row]
+    src: NodeId = NodeId("")
+    delivered: Optional[Dict[NodeId, int]] = None
 
 
 class OrderingLayer:
@@ -49,10 +105,10 @@ class OrderingLayer:
     name = "raw"
 
     def on_send(self, src: NodeId, dst: NodeId, message: Message) -> StampedMessage:
-        return StampedMessage(message=message, stamp=VectorClock(), constraints={})
+        return StampedMessage(message=message, stamp=0, constraints={}, src=src)
 
     def on_arrival(self, dst: NodeId, stamped: StampedMessage,
-                   deliver: Callable[[Message], None]) -> None:
+                   deliver: Deliver) -> None:
         """Deliver now or buffer; implementations call *deliver* for each
         message that becomes deliverable (possibly several)."""
         deliver(stamped.message)
@@ -62,8 +118,9 @@ class OrderingLayer:
 
         Returns the number of held-back messages dropped with it.  Only
         valid for endpoints that will never exchange messages again: a
-        later re-attach starts from fresh clocks, so in-flight stamps
-        that still reference the retired endpoint could block forever.
+        later re-attach starts its channels from fresh counters, so
+        in-flight stamps that still reference the retired endpoint could
+        block forever.
         """
         return 0
 
@@ -86,85 +143,68 @@ class FifoOrdering(OrderingLayer):
     name = "fifo"
 
     def __init__(self) -> None:
-        self._next_send: Dict[Tuple[NodeId, NodeId], int] = {}
-        self._next_deliver: Dict[Tuple[NodeId, NodeId], int] = {}
+        self._sent: Dict[Tuple[NodeId, NodeId], int] = {}
+        self._delivered: Dict[Tuple[NodeId, NodeId], int] = {}
         self._held: Dict[Tuple[NodeId, NodeId], Dict[int, StampedMessage]] = {}
 
     def on_send(self, src: NodeId, dst: NodeId, message: Message) -> StampedMessage:
         channel = (src, dst)
-        seq = self._next_send.get(channel, 0)
-        self._next_send[channel] = seq + 1
-        stamp = VectorClock({"seq": seq + 1})  # reuse VC as a 1-slot carrier
-        return StampedMessage(message=message, stamp=stamp, constraints={})
+        seq = self._sent.get(channel, 0) + 1
+        self._sent[channel] = seq
+        return StampedMessage(message=message, stamp=seq, constraints={}, src=src)
 
     def on_arrival(self, dst: NodeId, stamped: StampedMessage,
-                   deliver: Callable[[Message], None]) -> None:
-        src = stamped.message.src
-        if src is None:
-            raise NetworkError("message arrived without a source")
-        channel = (src, dst)
-        seq = stamped.stamp.get("seq") - 1
+                   deliver: Deliver) -> None:
+        channel = (stamped.src, dst)
         held = self._held.setdefault(channel, {})
-        held[seq] = stamped
-        expected = self._next_deliver.get(channel, 0)
+        held[stamped.stamp] = stamped
+        expected = self._delivered.get(channel, 0) + 1
         while expected in held:
             deliver(held.pop(expected).message)
             expected += 1
-        self._next_deliver[channel] = expected
+        self._delivered[channel] = expected - 1
 
     def retire(self, node: NodeId) -> int:
         dropped = 0
         for channel in [c for c in self._held if node in c]:
             dropped += len(self._held.pop(channel))
-        for counters in (self._next_send, self._next_deliver):
+        for counters in (self._sent, self._delivered):
             for channel in [c for c in counters if node in c]:
                 del counters[channel]
         return dropped
 
 
 class _CausalEndpoint:
-    """Per-endpoint SES state plus the indexed hold-back buffer."""
+    """One endpoint's channel counters, log and hold-back buffer.
 
-    __slots__ = ("knowledge", "sent", "dep", "waiting", "held", "arrivals")
+    ``row_changes`` and ``delivery_changes`` hold the version at which
+    each log row and each delivered counter last grew, in version order,
+    so a send collects what changed since the channel's ``shipped``
+    version by walking them backwards.
+    """
+
+    __slots__ = ("sent", "delivered", "known", "log", "version", "row_changes",
+                 "delivery_changes", "shipped", "waiting", "held", "arrivals")
 
     def __init__(self) -> None:
-        self.knowledge = VectorClock()
-        self.sent = 0
-        # destination -> frozen, structurally-shared constraint clock
-        self.dep: Dict[str, VectorClock] = {}
-        # blocking component -> [(arrival order, stamped), ...]
-        self.waiting: Dict[str, List[Tuple[int, StampedMessage]]] = {}
+        self.sent: Dict[NodeId, int] = {}  # dst -> messages sent to it
+        self.delivered: Dict[NodeId, int] = {}  # src -> messages delivered
+        # dst -> dst's delivered counters, as of its last message here
+        self.known: Dict[NodeId, Dict[NodeId, int]] = {}
+        self.log: Dict[NodeId, Row] = {}  # dst -> row
+        self.version = 0
+        self.row_changes: Dict[NodeId, int] = {}
+        self.delivery_changes: Dict[NodeId, int] = {}
+        self.shipped: Dict[NodeId, int] = {}  # dst -> version at last send
+        # blocking sender -> [(arrival order, stamped), ...]
+        self.waiting: Dict[NodeId, List[Tuple[int, StampedMessage]]] = {}
         self.held = 0
         self.arrivals = 0
 
 
 class CausalOrdering(OrderingLayer):
-    """SES causal point-to-point delivery (implies FIFO per channel).
-
-    Implementation notes:
-
-    * The *knowledge* clock (pointwise max of delivered stamps) is kept
-      separate from the node's own send counter.  Folding both into one
-      clock — as a naive reading of SES suggests — breaks hold-back
-      whenever a node can receive its own sends, because its send ticks
-      satisfy the delivery constraint before the earlier message has
-      actually been delivered.
-    * Every clock stored in ``dep``, a stamp, or a constraint table is
-      *frozen* the moment it leaves :meth:`on_send`: updates rebind to a
-      new (or another shared) clock, never mutate.  That makes the
-      constraint-table copy at send time a dict of shared references
-      instead of O(endpoints) deep clock copies, and lets delivery skip
-      constraint merges entirely when sender and receiver already hold
-      the same clock object.  Only ``knowledge`` is mutated in place — it
-      is private to its endpoint (stamps copy it).
-    * A message that cannot be delivered is parked under *one* vector
-      component its receiver's knowledge has not reached.  Since knowledge
-      only grows, the message can only become deliverable after that
-      component advances, so a delivery wakes exactly the buckets of the
-      components it advanced instead of rescanning the whole buffer.
-      Woken candidates are processed in arrival order, which reproduces
-      the delivery order of the classic rescan-from-start drain.
-    """
+    """Exact causal point-to-point delivery (implies FIFO per channel);
+    see the module docstring for the algorithm."""
 
     name = "causal"
 
@@ -179,90 +219,162 @@ class CausalOrdering(OrderingLayer):
 
     def on_send(self, src: NodeId, dst: NodeId, message: Message) -> StampedMessage:
         endpoint = self._endpoint(src)
-        endpoint.sent += 1
-        stamp = endpoint.knowledge.copy()
-        stamp.bump(src, endpoint.sent)
-        constraints = dict(endpoint.dep)  # shared frozen clocks
-        endpoint.dep[dst] = stamp  # frozen from here on
-        return StampedMessage(message=message, stamp=stamp, constraints=constraints)
+        seq = endpoint.sent.get(dst, 0) + 1
+        endpoint.sent[dst] = seq
+        mark = endpoint.shipped.get(dst, 0)
+        rows: Dict[NodeId, Row] = {}
+        delivered: Optional[Dict[NodeId, int]] = None
+        if endpoint.version > mark:
+            log = endpoint.log
+            for node, version in reversed(endpoint.row_changes.items()):
+                if version <= mark:
+                    break
+                rows[node] = log[node]
+            counts = endpoint.delivered
+            for node, version in reversed(endpoint.delivery_changes.items()):
+                if version <= mark:
+                    break
+                if delivered is None:
+                    delivered = {}
+                delivered[node] = counts[node]
+        # The new message covers every earlier one to dst in its causal
+        # past: row dst shrinks to its single entry.
+        endpoint.version = version = endpoint.version + 1
+        endpoint.log[dst] = {src: seq}
+        changes = endpoint.row_changes
+        changes.pop(dst, None)
+        changes[dst] = version
+        endpoint.shipped[dst] = version
+        return StampedMessage(message=message, stamp=seq, constraints=rows,
+                              src=src, delivered=delivered)
 
     def on_arrival(self, dst: NodeId, stamped: StampedMessage,
-                   deliver: Callable[[Message], None]) -> None:
+                   deliver: Deliver) -> None:
         endpoint = self._endpoint(dst)
-        constraint = stamped.constraints.get(dst)
-        if constraint is not None and not endpoint.knowledge.dominates(constraint):
+        blocker = self._blocker(endpoint, dst, stamped)
+        if blocker is not None:
             # No held message is deliverable right now (each was re-checked
-            # when knowledge last advanced), so parking preserves order.
+            # when its blocking count last advanced), so parking preserves
+            # order.
             endpoint.arrivals += 1
-            self._park(endpoint, endpoint.arrivals, stamped, constraint)
+            self._park(endpoint, blocker, endpoint.arrivals, stamped)
             return
-        advanced = self._commit(endpoint, dst, stamped)
+        self._commit(endpoint, dst, stamped)
         deliver(stamped.message)
         if endpoint.held:
-            self._drain(endpoint, dst, deliver, advanced)
+            self._drain(endpoint, dst, deliver, stamped.src)
 
-    def _park(self, endpoint: _CausalEndpoint, order: int,
-              stamped: StampedMessage, constraint: VectorClock) -> None:
-        """File a blocked message under one unsatisfied component."""
-        knowledge_get = endpoint.knowledge.get
-        for component, value in constraint.items():
-            if knowledge_get(component) < value:
-                endpoint.waiting.setdefault(component, []).append((order, stamped))
-                endpoint.held += 1
-                return
-        raise NetworkError("parked a deliverable message")  # pragma: no cover
+    @staticmethod
+    def _blocker(endpoint: _CausalEndpoint, node: NodeId,
+                 stamped: StampedMessage) -> Optional[NodeId]:
+        """A sender whose channel into *node* has not yet delivered a
+        causal predecessor of *stamped*, or None when it is deliverable."""
+        delivered = endpoint.delivered
+        src = stamped.src
+        if delivered.get(src, 0) < stamped.stamp - 1:
+            return src
+        row = stamped.constraints.get(node)
+        if row is not None:
+            for sender, seq in row.items():
+                if delivered.get(sender, 0) < seq:
+                    return sender
+        return None
+
+    @staticmethod
+    def _park(endpoint: _CausalEndpoint, blocker: NodeId, order: int,
+              stamped: StampedMessage) -> None:
+        endpoint.waiting.setdefault(blocker, []).append((order, stamped))
+        endpoint.held += 1
 
     def _drain(self, endpoint: _CausalEndpoint, node: NodeId,
-               deliver: Callable[[Message], None],
-               advanced: List[str]) -> None:
-        """Deliver every held message unblocked by *advanced* components,
-        cascading through the components each delivery advances."""
+               deliver: Deliver, advanced: NodeId) -> None:
+        """Deliver every held message unblocked by the channel from
+        *advanced*, cascading through the channels each delivery
+        advances."""
         ready: List[Tuple[int, StampedMessage]] = []
         self._wake(endpoint, advanced, ready)
         while ready:
             order, stamped = heapq.heappop(ready)
             endpoint.held -= 1
-            constraint = stamped.constraints.get(node)
-            if constraint is not None and not endpoint.knowledge.dominates(constraint):
-                # Still blocked on another component; re-park, keeping its
+            blocker = self._blocker(endpoint, node, stamped)
+            if blocker is not None:
+                # Still blocked on another channel; re-park, keeping its
                 # original arrival order.
-                self._park(endpoint, order, stamped, constraint)
+                self._park(endpoint, blocker, order, stamped)
                 continue
-            advanced = self._commit(endpoint, node, stamped)
+            self._commit(endpoint, node, stamped)
             deliver(stamped.message)
-            self._wake(endpoint, advanced, ready)
+            self._wake(endpoint, stamped.src, ready)
 
     @staticmethod
-    def _wake(endpoint: _CausalEndpoint, advanced: List[str],
+    def _wake(endpoint: _CausalEndpoint, advanced: NodeId,
               ready: List[Tuple[int, StampedMessage]]) -> None:
         if not endpoint.held:
             return
-        waiting = endpoint.waiting
-        for component in advanced:
-            bucket = waiting.pop(component, None)
-            if bucket:
-                for item in bucket:
-                    heapq.heappush(ready, item)
+        bucket = endpoint.waiting.pop(advanced, None)
+        if bucket:
+            for item in bucket:
+                heapq.heappush(ready, item)
 
     @staticmethod
     def _commit(endpoint: _CausalEndpoint, node: NodeId,
-                stamped: StampedMessage) -> List[str]:
-        """Merge a delivered message's metadata; return the knowledge
-        components that advanced."""
-        advanced = endpoint.knowledge.update_max(stamped.stamp)
-        dep = endpoint.dep
-        for other, clock in stamped.constraints.items():
-            if other == node:
+                stamped: StampedMessage) -> None:
+        """Count a delivery and merge the stamp into the log."""
+        src = stamped.src
+        endpoint.delivered[src] = stamped.stamp
+        endpoint.version = version = endpoint.version + 1
+        delivery_changes = endpoint.delivery_changes
+        delivery_changes.pop(src, None)
+        delivery_changes[src] = version
+        log = endpoint.log
+        row_changes = endpoint.row_changes
+        known = endpoint.known
+        for dst, row in stamped.constraints.items():
+            if dst == node:
                 continue
-            current = dep.get(other)
-            if current is None:
-                dep[other] = clock
-            elif current is not clock:
-                if clock.dominates(current):
-                    dep[other] = clock
-                elif not current.dominates(clock):
-                    dep[other] = current.merged(clock)
-        return advanced
+            mine = log.get(dst)
+            if mine is row or mine == row:
+                continue
+            floor = known.get(dst, _NO_COUNTS)
+            if mine is None:
+                fresh = {sender: seq for sender, seq in row.items()
+                         if seq > floor.get(sender, 0)}
+                if not fresh:
+                    continue
+                if len(fresh) < len(row):
+                    row = fresh
+            else:
+                merged: Optional[Row] = None
+                for sender, seq in row.items():
+                    if seq > mine.get(sender, 0) and seq > floor.get(sender, 0):
+                        if merged is None:
+                            merged = mine.copy()
+                        merged[sender] = seq
+                if merged is None:
+                    continue
+                if merged != row:  # else share the stamp's row
+                    row = merged
+            log[dst] = row
+            row_changes.pop(dst, None)
+            row_changes[dst] = version
+        counts = stamped.delivered
+        if counts is not None:
+            seen = known.get(src)
+            if seen is None:
+                known[src] = dict(counts)
+            else:
+                seen.update(counts)
+            mine = log.get(src)
+            if mine is not None:
+                kept = {sender: seq for sender, seq in mine.items()
+                        if seq > counts.get(sender, 0)}
+                if not kept:
+                    del log[src]
+                    row_changes.pop(src)
+                elif len(kept) < len(mine):
+                    # A shrink need not be shipped: receivers that merged
+                    # the larger row only hold delivered entries too.
+                    log[src] = kept
 
     def held_count(self, node: NodeId) -> int:
         """Number of messages currently buffered for *node* (for tests)."""
@@ -273,7 +385,21 @@ class CausalOrdering(OrderingLayer):
         endpoint = self._endpoints.pop(node, None)
         dropped = endpoint.held if endpoint is not None else 0
         for other in self._endpoints.values():
-            other.dep.pop(node, None)
+            for counters in (other.sent, other.shipped, other.row_changes,
+                             other.delivered, other.delivery_changes):
+                counters.pop(node, None)
+            other.known.pop(node, None)
+            for seen in other.known.values():
+                seen.pop(node, None)
+            log = other.log
+            log.pop(node, None)
+            for dst in [d for d, row in log.items() if node in row]:
+                kept = {s: q for s, q in log[dst].items() if s != node}
+                if kept:
+                    log[dst] = kept
+                else:
+                    del log[dst]
+                    other.row_changes.pop(dst)
         return dropped
 
 

@@ -1,8 +1,8 @@
 """Reliable link layer for the wired fabric.
 
 When a :class:`~repro.net.faults.FaultPlan` makes the inter-MSS network
-lossy, the causal ordering layer above it wedges: SES parks any message
-whose constraints name a lost predecessor, forever.  The link transport
+lossy, the causal ordering layer above it wedges: it parks any message
+whose stamp names a lost predecessor, forever.  The link transport
 restores assumption 1 the way QRPC and I-TCP-style indirection do — an
 acknowledged, retransmitting hop per link.
 
@@ -23,11 +23,11 @@ Two transports implement that contract (``docs/TRANSPORT.md``):
 
 Both sit *below* the ordering layer: retransmission re-sends the same
 stamped message, so ``on_send`` runs exactly once per message and the
-SES stamps stay valid.  Link acks are consumed here and never reach the
+causal stamps stay valid.  Link acks are consumed here and never reach the
 ordering layer or the protocol trace (no ``send``/``recv`` rows), so
 the PR-1 causal-order checker sees exactly the one logical send and the
 one post-dedup delivery.  Frames may be delivered to the ordering layer
-out of sequence-number order — the SES hold-back buffer above is what
+out of sequence-number order — the causal hold-back buffer above is what
 restores causal order, exactly as it does for latency inversions.
 
 With no fault plan and no explicit opt-in no transport is built at all

@@ -1,8 +1,9 @@
 """Vector clocks.
 
-Used by the causal-delivery layer (:mod:`repro.net.causal`) that implements
-the paper's assumption 1 — inter-MSS communication is reliable and
-causally ordered — and by the trace verifier.
+Used by the trace verifier's causal-order checker
+(:class:`repro.verify.oracle.CausalWiredOrder`), which audits the paper's
+assumption 1 — inter-MSS communication is reliable and causally ordered —
+independently of the ordering layer that implements it.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ class VectorClock:
         """Advance *node*'s component by one."""
         self._clock[node] = self._clock.get(node, 0) + 1
 
-    def bump(self, node: str, value: int) -> None:
-        """Raise *node*'s component to at least *value*."""
-        if value > self._clock.get(node, 0):
-            self._clock[node] = value
-
     def get(self, node: str) -> int:
         return self._clock.get(node, 0)
 
@@ -46,28 +42,6 @@ class VectorClock:
         for node, value in other._clock.items():
             if value > get(node, 0):
                 clock[node] = value
-
-    def update_max(self, other: "VectorClock") -> list[str]:
-        """Pointwise max, in place; return the components that advanced.
-
-        Like :meth:`merge`, but reports which components actually grew —
-        the causal layer uses this to wake only the hold-back buckets
-        whose blocking component moved.
-        """
-        advanced = []
-        clock = self._clock
-        get = clock.get
-        for node, value in other._clock.items():
-            if value > get(node, 0):
-                clock[node] = value
-                advanced.append(node)
-        return advanced
-
-    def merged(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise max, as a new clock."""
-        out = self.copy()
-        out.merge(other)
-        return out
 
     def dominates(self, other: "VectorClock") -> bool:
         """True when ``other <= self`` (pointwise)."""

@@ -150,7 +150,7 @@ class WiredNetwork:
 
         The node's own unacked sends are deliberately NOT aborted: the
         transport models fabric custody (a frame accepted for delivery
-        belongs to the network, not the station's RAM), and the SES
+        belongs to the network, not the station's RAM), and the causal
         ordering layer above cannot tolerate send-side loss — a gapped
         sequence would park every later message from this node forever.
         :meth:`ReliableLink.abort_from` exists for permanent

@@ -68,3 +68,21 @@ def test_bench_smoke_writes_schema_and_is_deterministic(tmp_path, capsys):
     one.pop("timing")
     two.pop("timing")
     assert one == two  # the non-timing sections must be reproducible
+
+
+def test_bench_smoke_matches_pinned_determinism(tmp_path):
+    """The smoke scenario's simulated outputs are pinned, not just
+    reproducible: a change in wired delivery order (or anything else in
+    the simulated domain) moves them.  Repin deliberately, with the
+    reason, when a change is meant to move them."""
+    import json
+    import pathlib
+
+    pinned = json.loads((pathlib.Path(__file__).parent / "data"
+                         / "bench_smoke_determinism.json").read_text())
+    out = tmp_path / "smoke.json"
+    assert main(["bench", "--preset", "smoke", "--out", str(out),
+                 "--quiet"]) == 0
+    result = json.loads(out.read_text())
+    assert result["scenario"] == pinned["scenario"]
+    assert result["determinism"] == pinned["determinism"]

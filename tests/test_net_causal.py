@@ -1,4 +1,4 @@
-"""Tests for the ordering layers (raw / fifo / causal SES)."""
+"""Tests for the ordering layers (raw / fifo / causal)."""
 
 from __future__ import annotations
 
@@ -158,3 +158,31 @@ def test_causal_many_messages_drain_in_order():
     for stamped in reversed(sent):  # worst-case arrival order
         layer.on_arrival("b", stamped, lambda m: out.append(m.tag))
     assert out == [f"m{i}" for i in range(10)]
+
+
+def test_causal_stamp_carries_only_rows_changed_since_last_on_channel():
+    layer = CausalOrdering()
+    first = layer.on_send("a", "b", _msg("m1", "a", "b"))
+    assert (first.src, first.stamp, first.constraints) == ("a", 1, {})
+    layer.on_send("a", "c", _msg("m2", "a", "c"))
+    second = layer.on_send("a", "b", _msg("m3", "a", "b"))
+    # Row c changed since a's last message to b.  Row b names only a's
+    # own #1 to b, which FIFO order already implies, so it is not resent.
+    assert second.stamp == 2
+    assert second.constraints == {"c": {"a": 1}}
+    third = layer.on_send("a", "b", _msg("m4", "a", "b"))
+    assert third.constraints == {}
+
+
+def test_causal_delivered_entries_leave_the_log():
+    layer = CausalOrdering()
+    to_c = layer.on_send("a", "c", _msg("m1", "a", "c"))
+    to_b = layer.on_send("a", "b", _msg("m2", "a", "b"))
+    assert to_b.constraints == {"c": {"a": 1}}  # #1 to c may be undelivered
+    layer.on_arrival("c", to_c, lambda m: None)
+    reply = layer.on_send("c", "a", _msg("r", "c", "a"))
+    assert reply.delivered == {"a": 1}  # c piggybacks its delivered count
+    layer.on_arrival("a", reply, lambda m: None)
+    # a now knows #1 reached c, so its next stamp no longer names it.
+    to_d = layer.on_send("a", "d", _msg("m3", "a", "d"))
+    assert to_d.constraints == {"b": {"a": 1}}

@@ -50,10 +50,13 @@ def test_merge_is_pointwise_max():
 
 
 def test_merged_does_not_mutate():
+    # Merging into a copy leaves both operands alone.
     a = VectorClock({"p": 1})
     b = VectorClock({"q": 1})
-    c = a.merged(b)
+    c = a.copy()
+    c.merge(b)
     assert a == VectorClock({"p": 1})
+    assert b == VectorClock({"q": 1})
     assert c == VectorClock({"p": 1, "q": 1})
 
 

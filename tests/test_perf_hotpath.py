@@ -1,13 +1,17 @@
-"""Hot-path guarantees: zero-cost tracing when disabled, and the indexed
-causal drain delivering in exactly the order of the classic rescan."""
+"""Hot-path guarantees: zero-cost tracing when disabled, and the
+direct-dependency causal layer delivering in exactly the order of the
+SES reference with its classic rescan drain."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Dict, List
 
-from repro.net.causal import CausalOrdering, OrderingLayer, StampedMessage
+import pytest
+
+from repro.net.causal import CausalOrdering
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
 from repro.net.vectorclock import VectorClock
@@ -117,19 +121,27 @@ def test_describe_still_evaluated_when_recording(sim):
     assert recorder.filter(kind="send")[0].get("detail") == "tracked w1"
 
 
-# -- indexed causal drain vs the classic rescan -------------------------------
+# -- direct-dependency causal layer vs the SES rescan reference ---------------
 
 
-class _RescanCausalOrdering(OrderingLayer):
-    """Reference implementation: the pre-index SES layer with the
-    O(n^2) rescan-from-start hold-back drain.  Kept verbatim (modulo
-    naming) as the executable spec of delivery order."""
+@dataclass(slots=True)
+class _SesStamped:
+    message: Message
+    stamp: VectorClock
+    constraints: Dict[str, VectorClock]
+
+
+class _RescanCausalOrdering:
+    """Reference implementation: the Schiper–Eggli–Sandoz (SES) layer with
+    the O(n^2) rescan-from-start hold-back drain.  SES holds a message
+    exactly while a message to the same destination in its causal past
+    is undelivered, so this is the executable spec of delivery order."""
 
     def __init__(self) -> None:
         self._knowledge: Dict[NodeId, VectorClock] = {}
         self._sent: Dict[NodeId, int] = {}
         self._dep: Dict[NodeId, Dict[str, VectorClock]] = {}
-        self._buffers: Dict[NodeId, List[StampedMessage]] = {}
+        self._buffers: Dict[NodeId, List[_SesStamped]] = {}
 
     def _endpoint(self, node: NodeId):
         if node not in self._knowledge:
@@ -138,16 +150,16 @@ class _RescanCausalOrdering(OrderingLayer):
             self._sent[node] = 0
         return self._knowledge[node], self._dep[node]
 
-    def on_send(self, src: NodeId, dst: NodeId, message: Message) -> StampedMessage:
+    def on_send(self, src: NodeId, dst: NodeId, message: Message) -> _SesStamped:
         knowledge, dep = self._endpoint(src)
         self._sent[src] += 1
         stamp = knowledge.copy()
         stamp.merge(VectorClock({src: self._sent[src]}))
         constraints = {node: clock.copy() for node, clock in dep.items()}
         dep[dst] = stamp.copy()
-        return StampedMessage(message=message, stamp=stamp, constraints=constraints)
+        return _SesStamped(message=message, stamp=stamp, constraints=constraints)
 
-    def on_arrival(self, dst: NodeId, stamped: StampedMessage,
+    def on_arrival(self, dst: NodeId, stamped: _SesStamped,
                    deliver: Callable[[Message], None]) -> None:
         self._buffers.setdefault(dst, []).append(stamped)
         buffer = self._buffers[dst]
@@ -164,7 +176,7 @@ class _RescanCausalOrdering(OrderingLayer):
                     progressed = True
                     break
 
-    def _commit(self, node: NodeId, stamped: StampedMessage) -> None:
+    def _commit(self, node: NodeId, stamped: _SesStamped) -> None:
         vt, dep = self._endpoint(node)
         vt.merge(stamped.stamp)
         for other, clock in stamped.constraints.items():
@@ -175,25 +187,40 @@ class _RescanCausalOrdering(OrderingLayer):
             else:
                 dep[other] = clock.copy()
 
+    def retire(self, node: NodeId) -> int:
+        return 0  # keeps everything: retirement must not change delivery order
 
-def _random_traffic(seed: int, n_nodes: int, n_messages: int):
+
+def _picker(rng: random.Random, nodes: List[NodeId],
+            hubs: int) -> Callable[[], NodeId]:
+    """Uniform choice of an endpoint, or, with fewer *hubs* than nodes,
+    one of the first *hubs* endpoints half of the time."""
+    if hubs >= len(nodes):
+        return lambda: rng.choice(nodes)
+    return lambda: (rng.choice(nodes[:hubs]) if rng.random() < 0.5
+                    else rng.choice(nodes))
+
+
+def _random_traffic(seed: int, n_nodes: int, n_messages: int,
+                    hubs: int = 0):
     """One randomized run: sends with random jitter per message, arrivals
     processed in (arrival time, send order) order — latency inversions
     included, exactly what the hold-back buffer exists for."""
     rng = random.Random(seed)
     nodes = [NodeId(f"n{i}") for i in range(n_nodes)]
+    pick = _picker(rng, nodes, hubs or n_nodes)
     sends = []
     clock = 0.0
     for i in range(n_messages):
         clock += rng.random()
-        src = rng.choice(nodes)
-        dst = rng.choice(nodes)
+        src = pick()
+        dst = pick()
         arrival = clock + rng.uniform(0.0, 8.0)
         sends.append((clock, arrival, i, src, dst))
     return sends
 
 
-def _deliveries(layer: OrderingLayer, sends) -> List[tuple]:
+def _deliveries(layer, sends) -> List[tuple]:
     order: List[tuple] = []
     arrivals = []
     for send_time, arrival, i, src, dst in sorted(sends):
@@ -206,47 +233,123 @@ def _deliveries(layer: OrderingLayer, sends) -> List[tuple]:
     return order
 
 
+def _reactive_deliveries(layer, seed: int, n_nodes: int, n_messages: int,
+                         hubs: int = 4, retire: bool = False) -> List[tuple]:
+    """Event-driven traffic: a delivery triggers a send from the receiver
+    (inside the delivery callback, as a station's handler would) with
+    probability 0.7, and 40% of sends go to one of *hubs* endpoints, so
+    causal chains relay through hubs as they do through the TIS servers
+    of the city workload.  Latencies are uniform in [0, 8), so arrivals
+    overtake each other.  With *retire*, the first phase runs to
+    quiescence, the last endpoint is retired, and the survivors carry on
+    without it; retirement must not change delivery order."""
+    rng = random.Random(seed)
+    nodes = [NodeId(f"n{i}") for i in range(n_nodes)]
+    queue: List[tuple] = []
+    order: List[tuple] = []
+    sent = 0
+    now = 0.0
+
+    def send(src: NodeId, alive: List[NodeId]) -> None:
+        nonlocal sent
+        dst = (rng.choice(alive[:hubs]) if rng.random() < 0.4
+               else rng.choice(alive))
+        stamped = layer.on_send(src, dst, _TrackedMsg(tag=f"m{sent}"))
+        heapq.heappush(queue, (now + rng.uniform(0.0, 8.0), sent, dst,
+                               stamped))
+        sent += 1
+
+    def run_phase(alive: List[NodeId], budget: int) -> None:
+        nonlocal now
+
+        def delivered(message: Message, node: NodeId) -> None:
+            order.append((node, message.tag))
+            if sent < budget and rng.random() < 0.7:
+                send(node, alive)
+
+        for _ in range(budget // 4):
+            now += rng.random()
+            send(rng.choice(alive), alive)
+        while queue:
+            now, _, dst, stamped = heapq.heappop(queue)
+            layer.on_arrival(dst, stamped,
+                             lambda m, _dst=dst: delivered(m, _dst))
+
+    if retire:
+        run_phase(nodes, n_messages // 2)
+        assert layer.retire(nodes[-1]) == 0
+        run_phase(nodes[:-1], n_messages)
+    else:
+        run_phase(nodes, n_messages)
+    assert len(order) == sent
+    return order
+
+
+def _interleaved(layers, seed: int, n_nodes: int, n_messages: int,
+                 hubs: int, arrive_p: float = 0.6) -> List[List[tuple]]:
+    """Sends interleaved with arrivals (knowledge evolves between sends),
+    mimicking live request/response traffic rather than batch replay.
+    After each send, a random pending message arrives with probability
+    *arrive_p*, repeatedly.  Every layer sees the same operations;
+    returns each one's deliveries."""
+    rng = random.Random(1000 + seed)
+    nodes = [NodeId(f"n{i}") for i in range(n_nodes)]
+    pick = _picker(rng, nodes, hubs)
+    orders: List[List[tuple]] = [[] for _ in layers]
+    pending: List[List[tuple]] = [[] for _ in layers]
+
+    def arrive(take: int) -> None:
+        for layer, queue, order in zip(layers, pending, orders):
+            dst, stamped = queue.pop(take)
+            layer.on_arrival(dst, stamped,
+                             lambda m, _d=dst, _o=order: _o.append((_d, m.tag)))
+
+    for i in range(n_messages):
+        src, dst = pick(), pick()
+        msg = _TrackedMsg(tag=f"m{i}")
+        for layer, queue in zip(layers, pending):
+            queue.append((dst, layer.on_send(src, dst, msg)))
+        while pending[0] and rng.random() < arrive_p:
+            arrive(rng.randrange(len(pending[0])))
+    while pending[0]:
+        arrive(0)
+    return orders
+
+
 def test_indexed_drain_matches_rescan_order_under_stress():
     _DESCRIBE_CALLS.clear()
-    for seed in range(20):
-        sends = _random_traffic(seed, n_nodes=6, n_messages=120)
-        fast = _deliveries(CausalOrdering(), sends)
-        reference = _deliveries(_RescanCausalOrdering(), sends)
-        assert len(fast) == 120
-        assert fast == reference, f"delivery order diverged for seed {seed}"
+    # (endpoints, messages, hubs, seeds); 144 is the city workload's size.
+    for n_nodes, n_messages, hubs, seeds in ((6, 120, 0, 20), (144, 400, 4, 3)):
+        for seed in range(seeds):
+            sends = _random_traffic(seed, n_nodes, n_messages, hubs)
+            fast = _deliveries(CausalOrdering(), sends)
+            reference = _deliveries(_RescanCausalOrdering(), sends)
+            assert len(fast) == n_messages
+            assert fast == reference, f"delivery order diverged for seed {seed}"
 
 
 def test_indexed_drain_interleaved_sends_and_arrivals():
-    # Sends interleaved with arrivals (knowledge evolves between sends),
-    # mimicking live request/response traffic rather than batch replay.
-    for seed in range(10):
-        rng = random.Random(1000 + seed)
-        nodes = [NodeId(f"n{i}") for i in range(5)]
-        fast, reference = CausalOrdering(), _RescanCausalOrdering()
-        fast_order: List[tuple] = []
-        ref_order: List[tuple] = []
-        pending_fast: List[tuple] = []
-        pending_ref: List[tuple] = []
-        for i in range(200):
-            src, dst = rng.choice(nodes), rng.choice(nodes)
-            msg = _TrackedMsg(tag=f"m{i}")
-            pending_fast.append((dst, fast.on_send(src, dst, msg)))
-            pending_ref.append((dst, reference.on_send(src, dst, msg)))
-            while pending_fast and rng.random() < 0.6:
-                take = rng.randrange(len(pending_fast))
-                dst_f, stamped_f = pending_fast.pop(take)
-                dst_r, stamped_r = pending_ref.pop(take)
-                fast.on_arrival(dst_f, stamped_f,
-                                lambda m, _d=dst_f: fast_order.append((_d, m.tag)))
-                reference.on_arrival(dst_r, stamped_r,
-                                     lambda m, _d=dst_r: ref_order.append((_d, m.tag)))
-        for (dst_f, stamped_f), (dst_r, stamped_r) in zip(pending_fast, pending_ref):
-            fast.on_arrival(dst_f, stamped_f,
-                            lambda m, _d=dst_f: fast_order.append((_d, m.tag)))
-            reference.on_arrival(dst_r, stamped_r,
-                                 lambda m, _d=dst_r: ref_order.append((_d, m.tag)))
-        assert len(fast_order) == 200
-        assert fast_order == ref_order
+    # (endpoints, messages, hubs, arrival probability, seeds)
+    for n_nodes, n_messages, hubs, arrive_p, seeds in (
+            (5, 200, 5, 0.6, 10), (144, 1000, 4, 0.5, 3)):
+        for seed in range(seeds):
+            fast, reference = _interleaved(
+                [CausalOrdering(), _RescanCausalOrdering()], seed,
+                n_nodes, n_messages, hubs, arrive_p)
+            assert len(fast) == n_messages
+            assert fast == reference
+
+
+@pytest.mark.parametrize("retire", [False, True])
+def test_matches_rescan_reactive_at_144_endpoints(retire):
+    for seed in range(3):
+        layer = CausalOrdering()
+        fast = _reactive_deliveries(layer, seed, n_nodes=144, n_messages=600,
+                                    retire=retire)
+        assert fast == _reactive_deliveries(_RescanCausalOrdering(), seed,
+                                            n_nodes=144, n_messages=600,
+                                            retire=retire)
+        assert all(layer.held_count(NodeId(f"n{i}")) == 0 for i in range(144))
 
 
 def test_held_count_and_retire_prune_state():

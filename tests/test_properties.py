@@ -101,7 +101,12 @@ def test_delivery_invariants_under_arbitrary_mobility(schedule, request_times,
        st.randoms(use_true_random=False))
 def test_causal_ordering_never_inverts_causality(pairs, rng):
     """Random send patterns + adversarial arrival order: deliveries at
-    every node must respect the send/deliver partial order."""
+    every node must respect the send/deliver partial order.
+
+    Happens-before is derived from the harness's own history, not from
+    the layer's stamps: a message's causal past is everything its sender
+    had sent or delivered (transitively) before sending it.
+    """
     from dataclasses import dataclass
     from typing import ClassVar
 
@@ -112,45 +117,53 @@ def test_causal_ordering_never_inverts_causality(pairs, rng):
 
     layer = CausalOrdering()
     nodes = [NodeId(f"n{i}") for i in range(4)]
-    # Build sends; each node immediately "delivers" nothing yet — we queue
-    # arrivals and shuffle them per destination.
     arrivals = {node: [] for node in nodes}
-    # Track causal order via per-message vector timestamps recorded at
-    # send time: if message a was sent by the same node before b, or was
-    # delivered at b's sender before b was sent, then a -> b.
-    send_vts = {}
-    uid = 0
-    delivered_vt = {node: VectorClock() for node in nodes}
+    # uids in each node's causal past (sent or delivered there, or in the
+    # causal past of a message delivered there), and in each message's.
+    node_past = {node: set() for node in nodes}
+    message_past = {}
+    dst_of = {}
+    delivered_order = {node: [] for node in nodes}
 
-    # To make causality real, we interleave: half the time we flush a
-    # random pending arrival before the next send.
-    for src_i, dst_i in pairs:
+    def deliver_at(node):
+        def deliver(message):
+            delivered_order[node].append(message.uid)
+            node_past[node] |= message_past[message.uid] | {message.uid}
+        return deliver
+
+    # To make causality real, we interleave: half the time a random
+    # pending arrival is processed at the next sender first.
+    for uid, (src_i, dst_i) in enumerate(pairs):
         src, dst = nodes[src_i], nodes[dst_i]
         if arrivals[src] and rng.random() < 0.5:
             stamped = arrivals[src].pop(rng.randrange(len(arrivals[src])))
-            layer.on_arrival(src, stamped, lambda m: None)
+            layer.on_arrival(src, stamped, deliver_at(src))
         msg = _P(uid=uid)
         msg.src, msg.dst = src, dst
-        stamped = layer.on_send(src, dst, msg)
-        send_vts[uid] = stamped.stamp.copy()
-        arrivals[dst].append(stamped)
-        uid += 1
+        message_past[uid] = frozenset(node_past[src])
+        node_past[src].add(uid)
+        dst_of[uid] = dst
+        arrivals[dst].append(layer.on_send(src, dst, msg))
 
-    delivered_order = {node: [] for node in nodes}
     for node in nodes:
         rng.shuffle(arrivals[node])
         for stamped in arrivals[node]:
-            layer.on_arrival(node, stamped,
-                             lambda m, n=node: delivered_order[n].append(m.uid))
+            layer.on_arrival(node, stamped, deliver_at(node))
 
+    # Liveness: everything sent was delivered, exactly once.
+    assert sorted(u for uids in delivered_order.values() for u in uids) \
+        == list(range(len(pairs)))
+    # Safety: every causal predecessor addressed to the same node was
+    # delivered there first.
     for node, uids in delivered_order.items():
-        for i, later in enumerate(uids):
-            for earlier in uids[i + 1:]:
-                # 'earlier' was delivered after 'later': it must not be a
-                # causal predecessor of 'later'.
-                assert not (send_vts[earlier] < send_vts[later]), (
-                    f"{earlier} causally precedes {later} but was "
-                    f"delivered after it at {node}")
+        seen = set()
+        for uid in uids:
+            missing = {p for p in message_past[uid]
+                       if dst_of[p] == node and p not in seen}
+            assert not missing, (
+                f"{sorted(missing)} causally precede {uid} but were "
+                f"delivered after it at {node}")
+            seen.add(uid)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,14 +172,21 @@ def test_causal_ordering_never_inverts_causality(pairs, rng):
        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 5)))
 def test_vector_clock_algebra(d1, d2, d3):
     a, b, c = VectorClock(d1), VectorClock(d2), VectorClock(d3)
-    merged = a.merged(b)
-    # Merge is an upper bound of both.
+
+    def join(x, y):
+        out = x.copy()
+        out.merge(y)
+        return out
+
+    merged = join(a, b)
+    # Merge is an upper bound of both, and leaves the copied operand alone.
     assert merged.dominates(a) and merged.dominates(b)
+    assert a == VectorClock(d1)
     # Merge is commutative and idempotent.
-    assert merged == b.merged(a)
-    assert a.merged(a) == a
+    assert merged == join(b, a)
+    assert join(a, a) == a
     # Associativity.
-    assert a.merged(b).merged(c) == a.merged(b.merged(c))
+    assert join(join(a, b), c) == join(a, join(b, c))
     # Partial-order consistency: <= is antisymmetric up to equality.
     if a <= b and b <= a:
         assert a == b
