@@ -4,8 +4,9 @@ Launches a loopback cluster (:mod:`repro.live.cluster` — one UDP-bound
 process per MSS, driver-hosted mobile hosts), demands the same things
 CI demands of the simulator:
 
-* every issued request delivered **exactly once** (invariant oracle over
-  the merged multi-process trace);
+* every issued request delivered **exactly once** and every wired
+  message in **causal order** (invariant oracle over the merged
+  multi-process trace);
 * **100% span accounting** — every request reconstructed as one closed
   delivery span by the unmodified :mod:`repro.obs.spans` machinery;
 
@@ -14,7 +15,8 @@ writing a sim-vs-live cross-validation report
 (:mod:`repro.live.crossval`) to ``LIVE_crossval.json`` at the repo root.
 
 The exit status is the acceptance gate: 0 only when the live run
-delivered everything exactly once with full span accounting.
+delivered everything exactly once, in causal order on the wired
+network, with full span accounting.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ def render(report: Dict[str, Any]) -> str:
         f"{'wired drops (shaped)':<24}{sim['wired_drops']:>12}"
         f"{live['wired_drops']:>12}",
         "",
-        f"live exactly-once:     "
-        f"{'yes' if parity['live_exactly_once'] else 'VIOLATED'}",
+        f"live oracle:           "
+        f"{'clean' if parity['live_exactly_once'] else 'VIOLATED'} "
+        f"({', '.join(live['oracle_checkers'])})",
         f"live span accounting:  "
         f"{'100%' if parity['live_span_accounted'] else 'INCOMPLETE'}",
         f"live wall time:        {live['wall_time']:.2f}s",

@@ -16,11 +16,13 @@
 4. **Merge and gate.**  After shutdown it merges every process's trace
    rows, reconstructs delivery spans (:class:`~repro.obs.spans
    .SpanBuilder` — unchanged from the sim), and replays the merged
-   trace through the invariant oracle.  Only the location-independent
-   checkers run: :class:`~repro.verify.oracle.ExactlyOnceDelivery` and
-   :class:`~repro.verify.oracle.NoLostResult`.  Order-sensitive checkers
-   (causal wired order) would false-positive on a merged multi-process
-   trace, where cross-process timestamps are close but not causal.
+   trace through the invariant oracle:
+   :class:`~repro.verify.oracle.ExactlyOnceDelivery`,
+   :class:`~repro.verify.oracle.NoLostResult` and
+   :class:`~repro.verify.oracle.CausalWiredOrder`.  Every process stamps
+   its rows on the one system-wide monotonic clock, so in the merged,
+   time-sorted trace every wired ``send`` precedes its ``recv`` and the
+   causal checker sees the happens-before order it needs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,12 @@ from ..obs.spans import SpanBuilder, SpanReport
 from ..sim.rng import RngStreams
 from ..sim.tracing import TraceRecord, TraceRecorder
 from ..types import CellId, NodeId, mss_id, server_id
-from ..verify.oracle import ExactlyOnceDelivery, NoLostResult, Oracle
+from ..verify.oracle import (
+    CausalWiredOrder,
+    ExactlyOnceDelivery,
+    NoLostResult,
+    Oracle,
+)
 from .channel import WirelessShaper
 from .clock import LiveClock
 from .codec import CodecError, decode_envelope, encode_envelope
@@ -86,6 +93,7 @@ class ClusterResult:
     completed: int
     report: SpanReport
     violations: List[str]
+    checkers: List[str] = field(default_factory=list)
     latencies: List[float] = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
@@ -354,8 +362,9 @@ def _judge(spec: ClusterSpec, driver: _Driver, trace_paths: List[str],
     report = SpanBuilder.from_records(
         rec for rec in merged if rec.kind in SpanBuilder.KINDS)
 
-    # Replay the merged trace through the location-independent checkers.
-    oracle = Oracle([ExactlyOnceDelivery(), NoLostResult()])
+    # Replay the merged trace through the oracle.
+    oracle = Oracle([ExactlyOnceDelivery(), NoLostResult(),
+                     CausalWiredOrder()])
     replay = TraceRecorder()
     oracle.attach(replay)
     for rec in merged:
@@ -379,6 +388,7 @@ def _judge(spec: ClusterSpec, driver: _Driver, trace_paths: List[str],
         completed=completed,
         report=report,
         violations=[str(v) for v in oracle.violations],
+        checkers=[checker.name for checker in oracle.checkers],
         latencies=sorted(latencies),
         counts=counts,
         wall_time=clock.now(),

@@ -6,9 +6,10 @@ is tagged JSON::
 
     {"k": "<kind>", "f": {"msg_id": 7, "src": "mh:h0", ...}}
 
-* ``k`` is the message's ``kind`` string, resolved against
-  ``Message.registry()`` on decode — the registry the trace/chart tooling
-  already keys on, so the wire and the traces speak the same vocabulary.
+* ``k`` is the message's ``kind`` string, resolved against the message
+  registry (:meth:`~repro.net.message.Message.class_of`) on decode — the
+  registry the trace/chart tooling already keys on, so the wire and the
+  traces speak the same vocabulary.
 * ``f`` holds every dataclass field (``msg_id``/``src``/``dst``
   included: ids must survive the hop so the merged trace can pair a send
   in one process with its recv in another).
@@ -27,6 +28,11 @@ what the golden fixture in ``tests/data/wire_golden.json`` pins down.
 Payloads are restricted to JSON-expressible values (plus the tagged
 types above); anything else raises :class:`CodecError` at send time
 rather than corrupting silently.
+
+Wired traffic travels as one :class:`~repro.net.reliable.Frame` per
+datagram (:func:`frame_to_obj`): a data frame carries a ``batch`` of
+causally stamped messages, each ``[message, stamp, rows, delivered]``
+(see :mod:`repro.net.causal`), a link ack its ``cum`` and ``sacks``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ from typing import Any, Dict
 from ..core import protocol as _protocol  # noqa: F401 - fills the registry
 from ..core.protocol import PrefPayload
 from ..errors import ProtocolError
+from ..net.causal import Row, StampedMessage
 from ..net.message import Message
+from ..net.reliable import Frame, LinkAckMsg
 from ..types import NodeId, ProxyId, ProxyRef
 
 _PREF = "__pref__"
@@ -99,7 +107,7 @@ def _decode_value(value: Any) -> Any:
 def message_to_obj(message: Message) -> Dict[str, Any]:
     """One message as a JSON-expressible dict (the ``"m"`` envelope slot)."""
     cls = type(message)
-    if Message.registry().get(cls.kind) is not cls:
+    if Message.class_of(cls.kind) is not cls:
         raise CodecError(
             f"{cls.__name__} (kind {cls.kind!r}) is not wire-registered")
     encoded: Dict[str, Any] = {}
@@ -112,7 +120,7 @@ def message_from_obj(obj: Any) -> Message:
     """Rebuild a message from :func:`message_to_obj` output."""
     if not isinstance(obj, dict) or "k" not in obj or "f" not in obj:
         raise CodecError(f"malformed message object: {obj!r}")
-    cls = Message.registry().get(obj["k"])
+    cls = Message.class_of(obj["k"])
     if cls is None:
         raise CodecError(f"unknown message kind {obj['k']!r}")
     raw = obj["f"]
@@ -123,6 +131,63 @@ def message_from_obj(obj: Any) -> Message:
         return cls(**kwargs)
     except TypeError as exc:
         raise CodecError(f"cannot rebuild {obj['k']!r}: {exc}") from None
+
+
+def frame_to_obj(frame: Frame) -> Dict[str, Any]:
+    """One wired link frame as a ``frame`` envelope."""
+    obj: Dict[str, Any] = {"t": "frame", "src": frame.src, "dst": frame.dst,
+                           "seq": frame.seq}
+    ack = frame.payload
+    if isinstance(ack, LinkAckMsg):
+        obj.update(id=ack.msg_id, cum=ack.cum, sacks=ack.sacks)
+    else:
+        obj["base"] = frame.base
+        obj["batch"] = [
+            [message_to_obj(stamped.message), stamped.stamp,
+             stamped.constraints, stamped.delivered]
+            for stamped in frame.stamped_messages()]
+    return obj
+
+
+def _typed(value: Any, kind: type) -> Any:
+    if type(value) is not kind:
+        raise CodecError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _counters(value: Any) -> Row:
+    for count in _typed(value, dict).values():
+        _typed(count, int)
+    return value
+
+
+def frame_from_obj(obj: Dict[str, Any]) -> Frame:
+    """Rebuild a link frame from a ``frame`` envelope; anything malformed
+    raises :class:`CodecError` (the datagram came off a socket)."""
+    try:
+        src = NodeId(_typed(obj["src"], str))
+        dst = NodeId(_typed(obj["dst"], str))
+        seq = _typed(obj["seq"], int)
+        if "batch" not in obj:
+            sacks = tuple((_typed(lo, int), _typed(hi, int))
+                          for lo, hi in _typed(obj["sacks"], list))
+            return Frame(src=src, dst=dst, seq=seq, payload=LinkAckMsg(
+                msg_id=_typed(obj["id"], int), src=src, dst=dst, seq=seq,
+                cum=_typed(obj["cum"], int), sacks=sacks))
+        batch = tuple(StampedMessage(
+            message=message_from_obj(message),
+            stamp=_typed(stamp, int),
+            constraints={NodeId(_typed(node, str)): _counters(row)
+                         for node, row in _typed(rows, dict).items()},
+            src=src,
+            delivered=None if delivered is None else _counters(delivered))
+            for message, stamp, rows, delivered in _typed(obj["batch"], list))
+        base = _typed(obj["base"], int)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CodecError(f"malformed frame: {exc!r}") from None
+    if not batch:
+        raise CodecError("data frame with an empty batch")
+    return Frame(src=src, dst=dst, seq=seq, base=base, batch=batch)
 
 
 def encode_message(message: Message) -> bytes:
@@ -141,7 +206,7 @@ def decode_message(data: bytes) -> Message:
 
 
 def encode_envelope(obj: Dict[str, Any]) -> bytes:
-    """Encode one transport envelope (``msg``/``ack``/``wmsg``/``ctrl``)."""
+    """Encode one transport envelope (``frame``/``wmsg``/``ctrl``)."""
     return json.dumps(obj, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 

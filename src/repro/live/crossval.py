@@ -110,6 +110,7 @@ def live_summary(spec: ClusterSpec, result: ClusterResult) -> Dict[str, Any]:
         "wired_drops": result.counts.get("wired_drop", 0),
         "counts": {k: result.counts[k] for k in sorted(result.counts)},
         "span_accounted": result.accounted,
+        "oracle_checkers": list(result.checkers),
         "oracle_violations": list(result.violations),
         "wall_time": result.wall_time,
         "notes": list(result.notes),

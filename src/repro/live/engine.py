@@ -5,10 +5,10 @@
 ``schedule(delay, callback, *args, label=...)`` contract, same
 :class:`~repro.errors.SchedulingError` on negative delays — so a
 protocol-entity bug surfaces identically under simulation and on the
-wire.  Delays are real seconds served by ``loop.call_later``; the handle
-it returns is wrapped in a :class:`LiveEvent` satisfying
-:class:`repro.engine.ScheduledEvent` (idempotent ``cancel``, a cancelled
-event's callback never runs).
+wire.  Delays are real seconds served by ``loop.call_later`` (a zero
+delay by ``loop.call_soon``); the handle it returns is wrapped in a
+:class:`LiveEvent` satisfying :class:`repro.engine.ScheduledEvent`
+(idempotent ``cancel``, a cancelled event's callback never runs).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .clock import LiveClock
 
 
 class LiveEvent:
-    """Cancellable handle for one ``call_later`` timer.
+    """Cancellable handle for one ``call_later``/``call_soon`` callback.
 
     Mirrors :class:`repro.sim.event.Event`'s cancellation surface: the
     ``cancelled`` flag plus an idempotent :meth:`cancel` that is a no-op
@@ -35,7 +35,7 @@ class LiveEvent:
         self.label = label
         self.cancelled = False
         self.fired = False
-        self._handle: Optional[asyncio.TimerHandle] = None
+        self._handle: Optional[asyncio.Handle] = None
 
     def cancel(self) -> None:
         if self.cancelled or self.fired:
@@ -76,14 +76,17 @@ class AsyncioEngine:
         event = LiveEvent(label)
 
         def _fire() -> None:
-            # The TimerHandle's own cancel() prevents most late firings;
+            # The handle's own cancel() prevents most late firings;
             # the flag covers a cancel landing in the same loop iteration.
             if event.cancelled:
                 return
             event.fired = True
             callback(*args)
 
-        event._handle = self.loop.call_later(delay, _fire)
+        # Zero-delay callbacks (the wired link's per-tick flush) skip the
+        # timer heap; either way they run on the loop's next pass.
+        event._handle = (self.loop.call_later(delay, _fire) if delay > 0
+                         else self.loop.call_soon(_fire))
         self.scheduled_count += 1
         return event
 

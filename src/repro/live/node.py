@@ -42,7 +42,7 @@ from .channel import InboundShaper, build_wired_plan
 from .clock import LiveClock
 from .codec import CodecError, decode_envelope
 from .engine import AsyncioEngine
-from .transport import LiveWiredTransport, LiveWirelessStationSide
+from .transport import LiveWiredNetwork, LiveWirelessStationSide
 
 Address = Tuple[str, int]
 
@@ -116,10 +116,10 @@ class _ChildRuntime:
         for service, node in config.services:
             self.directory.register(service, NodeId(node))
         streams = RngStreams(config.seed)
-        self.wired = LiveWiredTransport(
+        self.wired = LiveWiredNetwork(
             self.engine, sock,
             {NodeId(node): addr for node, addr in config.addresses.items()},
-            rng=streams.stream(f"live.wired.{config.station}"),
+            retry_rng=streams.stream(f"live.wired.{config.station}"),
             recorder=self.recorder,
             monitor=self.instruments.monitor,
             shaper=InboundShaper(
@@ -163,7 +163,7 @@ class _ChildRuntime:
         except CodecError:
             return
         tag = obj.get("t")
-        if tag in ("msg", "ack"):
+        if tag == "frame":
             self.wired.on_datagram(obj)
         elif tag == "wmsg":
             self.wireless.on_datagram(obj)

@@ -3,17 +3,14 @@
 Three adapters, each implementing exactly the structural surface the
 protocol entities already program against:
 
-* :class:`LiveWiredTransport` — the inter-station fabric.  Reliable
-  delivery over lossy loopback UDP: per-destination sequence numbers,
-  receiver-side dedup plus re-ack, sender-side retransmission driven by
-  a real :class:`~repro.net.reliable.RtoEstimator` on wall-clock RTT
-  samples (Karn's rule: only never-retransmitted frames feed the
-  estimator) with :class:`~repro.net.reliable.RetryPolicy` jitter, and
-  the same ``delivery_failed`` → ``on_delivery_failure`` escalation the
-  sim transport performs when the retry budget runs out.  Inbound frames
-  pass through an :class:`~repro.live.channel.InboundShaper`: a shaped
-  drop is simply never acknowledged, so what the trace records as
-  ``wired_retx`` is a real datagram hitting the wire again.
+* :class:`LiveWiredNetwork` — the inter-station fabric: the sim's
+  :class:`~repro.net.wired.WiredNetwork` with causal ordering and the
+  selective-repeat :class:`~repro.net.reliable.ReliableLink`, running on
+  the wall-clock engine with a UDP socket as the wire.  Inbound frames
+  pass through an :class:`~repro.live.channel.InboundShaper` before the
+  link sees them: a shaped drop is simply never acknowledged, so what
+  the trace records as ``wired_retx`` is a real datagram hitting the
+  wire again.
 
 * :class:`LiveWirelessStationSide` — what an MSS process sees of the
   radio.  Downlink is fire-and-forget (one datagram to the driver,
@@ -36,12 +33,15 @@ oracle consume a merged live trace unmodified.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..errors import NetworkError, UnknownNodeError
+from ..net.causal import StampedMessage
 from ..net.message import Message
 from ..net.monitor import NetworkMonitor
-from ..net.reliable import RetryPolicy, RtoEstimator
+from ..net.reliable import Frame
+from ..net.wired import WiredNetwork
 from ..net.wireless import WirelessHost, WirelessStation
 from ..sim.tracing import TraceRecorder
 from ..types import CellId, MhState, NodeId
@@ -49,6 +49,8 @@ from .channel import InboundShaper, WirelessShaper
 from .codec import (
     CodecError,
     encode_envelope,
+    frame_from_obj,
+    frame_to_obj,
     message_from_obj,
     message_to_obj,
 )
@@ -56,259 +58,101 @@ from .engine import AsyncioEngine
 
 Address = Tuple[str, int]
 
-#: Hard ceiling on wire-level attempts per frame, independent of the
-#: retry policy (which tops out at RetryPolicy.max_retries anyway).
-DEFAULT_MAX_ATTEMPTS = 20
+
+@dataclass(frozen=True)
+class _RemoteEndpoint:
+    """A wired endpoint hosted by another process of the cluster.
+
+    Registered as a node so that ``send``'s destination check and
+    ``station_ids()`` see the whole cluster; frames are never delivered
+    to it, since they are addressed to the process that hosts it.
+    """
+
+    node_id: NodeId
+
+    def on_wired_message(self, message: Message) -> None:
+        raise UnknownNodeError(
+            f"{self.node_id!r} is hosted by another process")
 
 
-class _PendingFrame:
-    """Sender-side state for one unacknowledged wired frame."""
+class LiveWiredNetwork(WiredNetwork):
+    """The sim's wired stack with one process's UDP socket as the wire.
 
-    __slots__ = ("data", "message", "src", "dst", "attempts", "timer",
-                 "first_sent", "retransmitted")
-
-    def __init__(self, data: bytes, message: Message, src: NodeId,
-                 dst: NodeId, first_sent: float) -> None:
-        self.data = data
-        self.message = message
-        self.src = src
-        self.dst = dst
-        self.attempts = 1
-        self.timer: Optional[Any] = None
-        self.first_sent = first_sent
-        self.retransmitted = False
-
-
-class LiveWiredTransport:
-    """Reliable wired fabric over one process's UDP socket."""
-
-    name = "wired"
+    Causal stamps, the selective-repeat link (window, SACK, adaptive RTO,
+    fast retransmit, dedup), the trace rows, the monitor, down-node drops
+    and delivery-failure escalation are :class:`WiredNetwork`'s own code
+    running on an :class:`AsyncioEngine`.  Only the wire differs:
+    :meth:`_transmit` encodes a frame and sends it; :meth:`on_datagram`
+    decodes one, lets the :class:`InboundShaper` drop, duplicate or
+    delay it, and hands it to ``_arrive``.
+    """
 
     def __init__(
         self,
         engine: AsyncioEngine,
         sock: Any,
         addresses: Dict[NodeId, Address],
-        rng: Optional[random.Random] = None,
+        retry_rng: Optional[random.Random] = None,
         recorder: Optional[TraceRecorder] = None,
         monitor: Optional[NetworkMonitor] = None,
         shaper: Optional[InboundShaper] = None,
-        policy: Optional[RetryPolicy] = None,
     ) -> None:
-        self.engine = engine
+        super().__init__(engine, recorder=recorder, monitor=monitor,
+                         reliable=True, retry_rng=retry_rng)
         self.sock = sock
         self.addresses = dict(addresses)
-        self.rng = rng if rng is not None else random.Random(0)
-        self.recorder = (recorder if recorder is not None
-                         else TraceRecorder(enabled=False))
-        self.monitor = monitor if monitor is not None else NetworkMonitor()
         self.shaper = shaper if shaper is not None else InboundShaper(None)
-        self.policy = policy if policy is not None else RetryPolicy()
-        self._nodes: Dict[NodeId, Any] = {}
-        self._down: Set[NodeId] = set()
-        # Sender side: next seq and in-flight frames per (src, dst) flow.
-        self._next_seq: Dict[Tuple[NodeId, NodeId], int] = {}
-        self._pending: Dict[Tuple[NodeId, NodeId, int], _PendingFrame] = {}
-        self._rto: Dict[NodeId, RtoEstimator] = {}
-        # Receiver side: seqs already dispatched per (src, dst) flow.
-        self._seen: Dict[Tuple[NodeId, NodeId], Set[int]] = {}
-        self.retransmissions = 0
-        self.duplicates_absorbed = 0
-        self.delivery_failures = 0
         self.send_errors = 0
+        for node_id in self.addresses:
+            self.attach(_RemoteEndpoint(node_id))
 
-    # -- topology ----------------------------------------------------------
-
-    def attach(self, node: Any) -> None:
-        self._nodes[node.node_id] = node
-
-    def station_ids(self) -> List[NodeId]:
-        """Every station in the cluster, from the address map (sorted)."""
-        return [node for node in sorted(self.addresses)
-                if str(node).startswith("mss:")]
-
-    def set_down(self, node_id: NodeId) -> None:
-        self._down.add(node_id)
-
-    def set_up(self, node_id: NodeId) -> None:
-        self._down.discard(node_id)
-
-    def is_down(self, node_id: NodeId) -> bool:
-        return node_id in self._down
-
-    # -- send path ---------------------------------------------------------
-
-    def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        if dst not in self.addresses:
-            raise UnknownNodeError(f"wired destination {dst!r} not in the "
-                                   f"cluster address map")
-        if src not in self._nodes:
-            raise UnknownNodeError(f"wired source {src!r} not attached")
-        message.src = src
-        message.dst = dst
-        self.monitor.on_send(self.name, message)
-        if self.recorder.wants("send"):
+    def _transmit(self, src: NodeId, dst: NodeId, message: Message,
+                  payload: Union[StampedMessage, Frame],
+                  retransmit: bool = False) -> None:
+        if retransmit and self.recorder.wants("wired_retx"):
             self.recorder.record(
-                self.engine.now, "send", src,
+                self.sim.now, "wired_retx", src,
                 net=self.name, msg=message.kind, msg_id=message.msg_id,
-                dst=dst, detail=message.describe())
-        flow = (src, dst)
-        seq = self._next_seq.get(flow, 0) + 1
-        self._next_seq[flow] = seq
-        data = encode_envelope({
-            "t": "msg", "seq": seq, "src": src, "dst": dst,
-            "m": message_to_obj(message),
-        })
-        pending = _PendingFrame(data, message, src, dst,
-                                first_sent=self.engine.now)
-        self._pending[(src, dst, seq)] = pending
-        self._sendto(data, dst)
-        self._arm((src, dst, seq), pending)
-
-    def _rto_for(self, dst: NodeId) -> RtoEstimator:
-        estimator = self._rto.get(dst)
-        if estimator is None:
-            estimator = RtoEstimator(initial=self.policy.timeout)
-            self._rto[dst] = estimator
-        return estimator
-
-    def _arm(self, key: Tuple[NodeId, NodeId, int],
-             pending: _PendingFrame) -> None:
-        delay = self.policy.jittered(self._rto_for(pending.dst).rto,
-                                     self.rng.random())
-        pending.timer = self.engine.schedule(delay, self._expire, key,
-                                             label="live:wired-retx")
-
-    def _expire(self, key: Tuple[NodeId, NodeId, int]) -> None:
-        pending = self._pending.get(key)
-        if pending is None:
-            return
-        if pending.attempts >= min(self.policy.max_retries,
-                                   DEFAULT_MAX_ATTEMPTS):
-            del self._pending[key]
-            self._give_up(pending)
-            return
-        pending.attempts += 1
-        pending.retransmitted = True
-        self.retransmissions += 1
-        if self.recorder.wants("wired_retx"):
-            self.recorder.record(
-                self.engine.now, "wired_retx", pending.src,
-                net=self.name, msg=pending.message.kind,
-                msg_id=pending.message.msg_id, dst=pending.dst)
-        self._rto_for(pending.dst).on_timeout()
-        self._sendto(pending.data, pending.dst)
-        self._arm(key, pending)
-
-    def _give_up(self, pending: _PendingFrame) -> None:
-        message = pending.message
-        self.delivery_failures += 1
-        self.monitor.on_drop(self.name, message, "delivery_failed")
-        if self.recorder.wants("delivery_failed"):
-            self.recorder.record(
-                self.engine.now, "delivery_failed", pending.src,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                dst=pending.dst, attempts=pending.attempts)
-        node = self._nodes.get(pending.src)
-        notify = getattr(node, "on_delivery_failure", None)
-        if notify is not None:
-            notify(message)
-
-    def _sendto(self, data: bytes, dst: NodeId) -> None:
+                dst=dst)
+        assert isinstance(payload, Frame)
         try:
-            self.sock.sendto(data, self.addresses[dst])
+            self.sock.sendto(encode_envelope(frame_to_obj(payload)),
+                             self.addresses[dst])
         except OSError:
-            # A full socket buffer behaves like wire loss: the
+            # A full socket buffer behaves like wire loss: the link's
             # retransmission timer recovers it.
             self.send_errors += 1
 
-    # -- receive path ------------------------------------------------------
-
     def on_datagram(self, obj: Dict[str, Any]) -> None:
-        """One parsed wired envelope (``msg`` or ``ack``)."""
-        if obj.get("t") == "ack":
-            self._on_ack(obj)
-        else:
-            self._on_msg(obj)
-
-    def _on_ack(self, obj: Dict[str, Any]) -> None:
-        # The ack travels dst -> src of the data frame, so the pending
-        # key is (ack.dst, ack.src, seq).
-        key = (NodeId(obj["dst"]), NodeId(obj["src"]), obj["seq"])
-        pending = self._pending.pop(key, None)
-        if pending is None:
-            return
-        if pending.timer is not None:
-            pending.timer.cancel()
-        if not pending.retransmitted:
-            rtt = max(0.0, self.engine.now - pending.first_sent)
-            self._rto_for(pending.dst).sample(rtt)
-
-    def _on_msg(self, obj: Dict[str, Any]) -> None:
+        """One ``frame`` envelope off the socket.  Malformed frames and
+        frames for endpoints this process does not host are dropped."""
         try:
-            src = NodeId(obj["src"])
-            dst = NodeId(obj["dst"])
-            seq = int(obj["seq"])
-            message = message_from_obj(obj["m"])
-        except (KeyError, TypeError, ValueError, CodecError):
+            frame = frame_from_obj(obj)
+        except CodecError:
             return
-        if dst in self._down:
-            self._record_drop(src, dst, message, "down")
-            return  # unacked: the peer keeps retrying until we come up
-        verdict = self.shaper.verdict(src, dst, self.engine.now)
+        src, dst = frame.src, frame.dst
+        node = self._nodes.get(dst)
+        if node is None or isinstance(node, _RemoteEndpoint):
+            return
+        verdict = self.shaper.verdict(src, dst, self.sim.now)
+        message = frame.message
         if not verdict.deliver:
-            self._record_drop(src, dst, message, verdict.reason)
-            return  # unacked: the sender's timer produces the real retry
-        self._send_ack(src, dst, seq)
-        seen = self._seen.setdefault((src, dst), set())
-        if seq in seen:
-            self.duplicates_absorbed += 1
-            return  # transport dedup; the re-ack above already went out
-        seen.add(seq)
+            self._fault_drop(src, dst, message, verdict.reason)
+            return
         if verdict.duplicate:
-            # Receiver-side dup injection: the copy is absorbed by our
-            # own dedup immediately, matching the sim's observable
-            # behaviour (one delivery plus a wired_dup record).
-            self.monitor.on_send(self.name, message)
+            self.dup_injected += 1
+            self._obs_dup_injected.inc()
             if self.recorder.wants("wired_dup"):
                 self.recorder.record(
-                    self.engine.now, "wired_dup", src,
+                    self.sim.now, "wired_dup", src,
                     net=self.name, msg=message.kind, msg_id=message.msg_id,
                     dst=dst)
+            self._arrive(dst, frame)
         if verdict.extra_delay > 0:
-            self.engine.schedule(verdict.extra_delay, self._deliver,
-                                 dst, message, label="live:wired-delay")
+            self.sim.schedule(verdict.extra_delay, self._arrive, dst, frame,
+                              label=f"wired:{message.kind}")
         else:
-            self._deliver(dst, message)
-
-    def _record_drop(self, src: NodeId, dst: NodeId, message: Message,
-                     reason: str) -> None:
-        self.monitor.on_drop(self.name, message, reason)
-        if self.recorder.wants("wired_drop"):
-            self.recorder.record(
-                self.engine.now, "wired_drop", dst,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                src=src, reason=reason)
-
-    def _send_ack(self, src: NodeId, dst: NodeId, seq: int) -> None:
-        data = encode_envelope({"t": "ack", "seq": seq,
-                                "src": dst, "dst": src})
-        try:
-            self.sock.sendto(data, self.addresses[src])
-        except (OSError, KeyError):
-            self.send_errors += 1
-
-    def _deliver(self, dst: NodeId, message: Message) -> None:
-        node = self._nodes.get(dst)
-        if node is None:
-            return  # addressed to a node this process does not host
-        self.monitor.on_deliver(self.name, message)
-        if self.recorder.wants("recv"):
-            self.recorder.record(
-                self.engine.now, "recv", dst,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                src=message.src, detail=message.describe())
-        node.on_wired_message(message)
+            self._arrive(dst, frame)
 
 
 class _StationStub:

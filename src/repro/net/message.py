@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Optional, Type
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 from ..types import NodeId
 
@@ -21,6 +21,9 @@ _msg_counter = itertools.count(1)
 
 HEADER_BYTES = 40
 PER_FIELD_BYTES = 8
+
+#: Per class, the fields :meth:`Message.size_bytes` charges for.
+_SIZED_FIELDS: Dict[Type[Message], Tuple[str, ...]] = {}
 
 
 def _payload_size(value: Any) -> int:
@@ -73,13 +76,22 @@ class Message:
         """Mapping of kind string to message class (read-only use)."""
         return dict(cls._registry)
 
+    @classmethod
+    def class_of(cls, kind: str) -> Optional[Type["Message"]]:
+        """The class registered for *kind*, or None (no registry copy)."""
+        return cls._registry.get(kind)
+
     def size_bytes(self) -> int:
         """Deterministic modelled wire size."""
+        cls = type(self)
+        names = _SIZED_FIELDS.get(cls)
+        if names is None:
+            names = _SIZED_FIELDS[cls] = tuple(
+                f.name for f in fields(self)
+                if f.name not in ("msg_id", "src", "dst"))
         total = HEADER_BYTES
-        for f in fields(self):
-            if f.name in ("msg_id", "src", "dst"):
-                continue
-            total += PER_FIELD_BYTES + _payload_size(getattr(self, f.name))
+        for name in names:
+            total += PER_FIELD_BYTES + _payload_size(getattr(self, name))
         return total
 
     def describe(self) -> str:

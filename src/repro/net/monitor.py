@@ -25,9 +25,9 @@ Families owned by the facade (labels in parentheses):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from ..obs.registry import CounterFamily, MetricsHub
+from ..obs.registry import Counter, CounterFamily, MetricsHub
 from ..types import NodeId
 from .message import Message
 
@@ -67,20 +67,29 @@ class NetworkMonitor:
             "rdp_node_messages_received_total",
             "Messages received per node (load proxy)",
             labels=("node",))
+        self._children: Dict[Tuple[str, ...], Counter] = {}
 
     # -- write path (networks) --------------------------------------------
 
+    def _child(self, family: CounterFamily, *values: str) -> Counter:
+        """*family*'s child for *values*, resolved once (the hot path)."""
+        key = (family.name, *values)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = family.labels(*values)
+        return child
+
     def on_send(self, network: str, message: Message) -> None:
-        self._sent.labels(network, message.kind).inc()
-        self._sent_bytes.labels(network, message.kind).inc(
+        self._child(self._sent, network, message.kind).inc()
+        self._child(self._sent_bytes, network, message.kind).inc(
             message.size_bytes())
         if message.src is not None:
-            self._node_sent.labels(message.src).inc()
+            self._child(self._node_sent, message.src).inc()
 
     def on_deliver(self, network: str, message: Message) -> None:
-        self._received.labels(network, message.kind).inc()
+        self._child(self._received, network, message.kind).inc()
         if message.dst is not None:
-            self._node_received.labels(message.dst).inc()
+            self._child(self._node_received, message.dst).inc()
 
     def on_drop(self, network: str, message: Message, reason: str) -> None:
         self._dropped.labels(network, message.kind, reason).inc()

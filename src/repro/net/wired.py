@@ -23,8 +23,9 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Protocol, Set, Union
 
+from ..engine import Engine
 from ..errors import ConfigError, UnknownNodeError
-from ..sim import Simulator, TraceRecorder
+from ..sim import TraceRecorder
 from ..types import NodeId, is_mss
 from .causal import OrderingLayer, StampedMessage, make_ordering
 from .faults import FaultPlan
@@ -62,7 +63,7 @@ class WiredNetwork:
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Engine,
         latency: Optional[LatencyModel] = None,
         rng: Optional[random.Random] = None,
         recorder: Optional[TraceRecorder] = None,

@@ -2,9 +2,9 @@
 
 One small cluster (2 stations, 2 hosts, light shaped loss) is enough to
 exercise the whole live stack — fork + pre-bound sockets, wire codec,
-selective-ack wired transport, driver-side radio, migration, merged
-trace gating — against the same oracle and span accounting the sim
-uses.  Kept deliberately small so it stays fast; the CI ``live-smoke``
+the sim's causal wired stack over UDP, driver-side radio, migration,
+merged trace gating (causal wired order included) — against the same
+oracle and span accounting the sim uses.  Kept deliberately small so it stays fast; the CI ``live-smoke``
 job runs the bigger preset through the CLI.
 """
 

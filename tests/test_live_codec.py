@@ -26,10 +26,14 @@ from repro.live.codec import (  # noqa: E402
     decode_message,
     encode_envelope,
     encode_message,
+    frame_from_obj,
+    frame_to_obj,
     message_from_obj,
     message_to_obj,
 )
+from repro.net.causal import StampedMessage  # noqa: E402
 from repro.net.message import Message  # noqa: E402
+from repro.net.reliable import Frame, LinkAckMsg  # noqa: E402
 from repro.types import NodeId, ProxyId, ProxyRef, RequestId  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "wire_golden.json"
@@ -172,6 +176,110 @@ def test_envelope_round_trip():
         encode_envelope(env))
     with pytest.raises(CodecError):
         decode_envelope(b"[1,2,3]")  # no "t" key
+
+
+# -- link frames ------------------------------------------------------------
+
+S0, S1, APP = NodeId("mss:s0"), NodeId("mss:s1"), NodeId("srv:app0")
+
+
+def _data_frame():
+    first = sample_message(Message.registry()["ack"])
+    second = sample_message(Message.registry()["request"])
+    return Frame(src=S0, dst=S1, seq=4, base=3, batch=(
+        StampedMessage(message=first, stamp=2, src=S0,
+                       constraints={APP: {S0: 5, S1: 1}},
+                       delivered={APP: 3}),
+        StampedMessage(message=second, stamp=3, src=S0,
+                       constraints={}, delivered=None),
+    ))
+
+
+def _wire(frame):
+    """Through the full byte path, as a socket would carry it."""
+    return frame_from_obj(decode_envelope(encode_envelope(
+        frame_to_obj(frame))))
+
+
+def test_data_frame_round_trip():
+    frame = _data_frame()
+    back = _wire(frame)
+    assert (back.src, back.dst, back.seq, back.base) == (S0, S1, 4, 3)
+    assert back.payload is None and len(back.batch) == 2
+    for sent, got in zip(frame.batch, back.batch):
+        assert encode_message(got.message) == encode_message(sent.message)
+        assert type(got.message) is type(sent.message)
+        assert got.stamp == sent.stamp
+        assert got.src == S0
+        assert got.constraints == sent.constraints
+        assert got.delivered == sent.delivered
+    assert encode_envelope(frame_to_obj(back)) == encode_envelope(
+        frame_to_obj(frame))
+
+
+def test_ack_frame_round_trip_keeps_sack_tuples():
+    ack = LinkAckMsg(msg_id=17, src=S1, dst=S0, seq=4, cum=4,
+                     sacks=((6, 7), (9, 9)))
+    back = _wire(Frame(src=S1, dst=S0, seq=4, payload=ack))
+    got = back.payload
+    assert isinstance(got, LinkAckMsg) and back.batch is None
+    assert (got.msg_id, got.src, got.dst, got.seq, got.cum) == (
+        17, S1, S0, 4, 4)
+    assert got.sacks == ((6, 7), (9, 9))
+    assert all(type(block) is tuple for block in got.sacks)
+
+
+def _mangled():
+    data = json.loads(encode_envelope(frame_to_obj(_data_frame())))
+    ack = json.loads(encode_envelope(frame_to_obj(Frame(
+        src=S1, dst=S0, seq=4,
+        payload=LinkAckMsg(msg_id=1, src=S1, dst=S0, seq=4, cum=4)))))
+    cases = []
+    for key in ("src", "dst", "seq", "base", "batch"):
+        cases.append({k: v for k, v in data.items() if k != key})
+    for key in ("id", "cum", "sacks"):
+        cases.append({k: v for k, v in ack.items() if k != key})
+    for seq in ("4", 4.0, None, True):
+        cases.append(dict(data, seq=seq))
+    message, stamp, rows, delivered = data["batch"][0]
+    for bad_rows in ([1], {"srv:app0": [5]}, {"srv:app0": {"mss:s0": "5"}},
+                     {"srv:app0": {"mss:s0": 5.0}}):
+        cases.append(dict(data, batch=[[message, stamp, bad_rows, delivered]]))
+    for entry in ([message, "2", rows, delivered],
+                  [message, stamp, rows, {"srv:app0": None}],
+                  [{"k": "ack"}, stamp, rows, delivered],
+                  [message, stamp, rows], {"m": message}):
+        cases.append(dict(data, batch=[entry]))
+    cases.append(dict(data, batch=[]))
+    cases.append(dict(ack, sacks=[[1, 2, 3]]))
+    cases.append(dict(ack, sacks=[["1", 2]]))
+    return cases
+
+
+@pytest.mark.parametrize("obj", _mangled())
+def test_malformed_frames_rejected(obj):
+    with pytest.raises(CodecError):
+        frame_from_obj(obj)
+
+
+def test_live_network_drops_malformed_frames_without_raising():
+    import asyncio
+
+    from repro.live.clock import LiveClock
+    from repro.live.engine import AsyncioEngine
+    from repro.live.transport import LiveWiredNetwork
+
+    loop = asyncio.new_event_loop()
+    try:
+        net = LiveWiredNetwork(AsyncioEngine(loop, LiveClock.start()),
+                               sock=None, addresses={S0: ("127.0.0.1", 9)})
+        for obj in _mangled():
+            net.on_datagram(obj)
+        # A well-formed frame for an endpoint hosted elsewhere is dropped too.
+        net.on_datagram(frame_to_obj(_data_frame()))
+        assert net.monitor.total_messages() == 0
+    finally:
+        loop.close()
 
 
 # -- the golden fixture -----------------------------------------------------
